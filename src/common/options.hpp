@@ -1,4 +1,4 @@
-// Tiny key=value option parser used by examples and benches to override
+// Tiny key=value option parser used by the tools and examples to override
 // simulation parameters from the command line ("load=0.6 seed=3 vcs=4/2").
 #pragma once
 

@@ -15,6 +15,14 @@
 namespace flexnet {
 namespace {
 
+// materialize_for_run's defaults for whatever a suite leaves unset: the
+// scaled-down (2,4,2) system, a 10000 + 20000-cycle horizon, one seed.
+// Scale up per run with df_p/df_a/df_h, paper_scale=true, or measure=C.
+constexpr DragonflyParams kRunDragonfly{2, 4, 2};
+constexpr Cycle kRunWarmup = 10000;
+constexpr Cycle kRunMeasure = 20000;
+constexpr int kRunSeeds = 1;
+
 [[noreturn]] void fail(const std::string& origin, const std::string& msg) {
   throw SuiteError(origin + ": " + msg);
 }
@@ -218,16 +226,15 @@ MaterializedSuite materialize_for_run(const std::string& path,
   MaterializedSuite out;
   out.spec = SuiteSpec::load(path);
 
-  // Bench defaults: Table V at the FLEXNET_SCALE system so suite files
-  // reproduce the figure benches bit-identically (see bench_util.hpp).
-  const BenchScale scale = bench_scale();
+  // Table V at the (2,4,2) Dragonfly. Not SimConfig{}: its 30000-cycle
+  // measurement window is the single-run default, not the suite default.
   SimConfig defaults;
-  defaults.dragonfly = scale.dragonfly;
-  defaults.warmup = scale.warmup;
-  defaults.measure = scale.measure;
+  defaults.dragonfly = kRunDragonfly;
+  defaults.warmup = kRunWarmup;
+  defaults.measure = kRunMeasure;
 
   out.grid = out.spec.materialize(defaults, extra);
-  out.seeds = out.spec.seeds_or(scale.seeds);
+  out.seeds = out.spec.seeds_or(kRunSeeds);
   out.fingerprint = grid_fingerprint(out.grid, out.spec.loads, out.seeds);
   return out;
 }

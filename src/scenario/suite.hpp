@@ -1,5 +1,7 @@
-// Declarative scenario suites: an experiment grid as a JSON data file
-// instead of a recompiled bench main.
+// Declarative scenario suites: every experiment grid — each paper figure
+// panel and extension study — is a JSON data file under examples/suites/,
+// executed by `flexnet_run` (the one experiment path; README "Defining
+// experiments as suite files" maps figures to files).
 //
 // A suite file describes one sweep — named series (config overrides using
 // exactly the SimConfig::apply keys), a load grid, and a seed count:
@@ -75,8 +77,8 @@ struct SuiteSpec {
   /// Loads one of the suite files shipped under examples/suites/ by bare
   /// filename (e.g. "fig9_vc_selection.json"). The directory is resolved
   /// from the build-time FLEXNET_SUITE_DIR definition, falling back to the
-  /// relative "examples/suites". The single resolver for benches,
-  /// examples, and tests.
+  /// relative "examples/suites". The single resolver for examples and
+  /// tests.
   static SuiteSpec load_shipped(const std::string& filename);
 
   int seeds_or(int fallback) const { return seeds > 0 ? seeds : fallback; }
@@ -90,10 +92,11 @@ struct SuiteSpec {
       const;
 };
 
-/// A suite materialized exactly as `flexnet_run` executes it: bench-scale
-/// defaults (FLEXNET_SCALE / FLEXNET_SEEDS / FLEXNET_MEASURE) + suite base
-/// + `extra` CLI overrides + per-series overrides, with the seed count
-/// resolved and the checkpoint grid fingerprint computed.
+/// A suite materialized exactly as `flexnet_run` executes it: run defaults
+/// (Table V at the (2,4,2) Dragonfly, warmup 10000, measure 20000, one
+/// seed when the suite omits "seeds") + suite base + `extra` CLI overrides
+/// + per-series overrides, with the seed count resolved and the checkpoint
+/// grid fingerprint computed.
 struct MaterializedSuite {
   SuiteSpec spec;
   std::vector<ExperimentSeries> grid;
@@ -101,7 +104,7 @@ struct MaterializedSuite {
   std::uint64_t fingerprint = 0;  ///< grid_fingerprint(grid, loads, seeds)
 };
 
-/// Loads `path` and materializes it with the bench defaults. The single
+/// Loads `path` and materializes it with the run defaults. The single
 /// grid constructor shared by `flexnet_run` (which executes the grid) and
 /// `flexnet_merge` (which validates shard journals against the same
 /// fingerprint and aggregates them) — sharing it keeps the two tools'

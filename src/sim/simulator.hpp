@@ -1,5 +1,5 @@
 // Simulation driver: warm-up, steady-state measurement window, deadlock
-// watchdog, multi-seed averaging.
+// watchdog. Multi-seed averaging lives in SweepRunner::run_point.
 #pragma once
 
 #include <memory>
@@ -65,11 +65,5 @@ class Simulator {
   int trace_pid_ = 0;
   std::unique_ptr<Network> network_;
 };
-
-/// Averages `seeds` independent runs (seeds seed, seed+1, ...), sharded
-/// over FLEXNET_JOBS workers via the sweep runner. A deadlock in any run
-/// marks the average deadlocked; deadlocked seeds are excluded from the
-/// load/latency/hops averages (taken over the surviving seeds only).
-SimResult run_averaged(const SimConfig& config, int seeds);
 
 }  // namespace flexnet

@@ -169,9 +169,15 @@ TEST(MemoryReduction, FiftyPercentClaim) {
             PathSupport::kOpportunistic);
   EXPECT_EQ(classify_flexvc(flex, MsgClass::kReply, generic_d2_valiant()),
             PathSupport::kOpportunistic);
+  EXPECT_EQ(classify_flexvc(flex, MsgClass::kReply, generic_d2_par()),
+            PathSupport::kOpportunistic);
   const VcTemplate base(VcArrangement::parse("5+5"));
-  EXPECT_EQ(classify_baseline(base, MsgClass::kRequest, generic_d2_par()),
-            PathSupport::kSafe);
+  for (const MsgClass cls : {MsgClass::kRequest, MsgClass::kReply}) {
+    EXPECT_EQ(classify_baseline(base, cls, generic_d2_valiant()),
+              PathSupport::kSafe);
+    EXPECT_EQ(classify_baseline(base, cls, generic_d2_par()),
+              PathSupport::kSafe);
+  }
   EXPECT_EQ(flex.num_positions(), 5);
   EXPECT_EQ(base.num_positions(), 10);  // 2x the buffers for the same paths
 }

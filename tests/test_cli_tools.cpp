@@ -77,12 +77,20 @@ TEST(FlexnetRunCli, MalformedShardSpecExitsNonZeroWithClearMessage) {
     EXPECT_NE(r.output.find("expected i/N"), std::string::npos)
         << bad << "\n" << r.output;
   }
-  // The key=value spelling goes through the same validation.
-  const CmdResult r = run_cmd(bin("flexnet_run") + " " +
-                              shipped_suite("smoke_tiny.json") + " shard=0/3");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
-  EXPECT_NE(r.output.find("invalid shard spec"), std::string::npos)
-      << r.output;
+}
+
+TEST(FlexnetRunCli, RunnerFlagsHaveNoKeyValueSpelling) {
+  // key=value tokens are SimConfig overrides only; runner settings are
+  // --flags, so jobs=2 is a typo'd config key, not a worker count.
+  for (const std::string tok : {"jobs=2", "shard=1/3", "json=out.json"}) {
+    const std::string key = tok.substr(0, tok.find('='));
+    const CmdResult r = run_cmd(bin("flexnet_run") + " " +
+                                shipped_suite("smoke_tiny.json") + " " + tok);
+    EXPECT_EQ(r.exit_code, 2) << tok << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown config key '" + key + "'"),
+              std::string::npos)
+        << tok << "\n" << r.output;
+  }
 }
 
 TEST(FlexnetRunCli, ValidShardRunsItsSubsetAndWarnsWithoutCheckpoint) {

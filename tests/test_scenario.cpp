@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 
 #include "scenario/registry.hpp"
@@ -336,7 +339,7 @@ TEST(SuiteSpec, ValidateHookFailuresSurfaceSeriesLabel) {
 // materialize to identical canonical configs (the bit-identity guarantee
 // behind `flexnet_run examples/suites/fig9_vc_selection.json`).
 
-SimConfig bench_defaults() {
+SimConfig run_defaults() {
   SimConfig cfg;
   cfg.dragonfly = DragonflyParams{2, 4, 2};
   cfg.warmup = 10000;
@@ -348,10 +351,10 @@ TEST(ShippedSuites, Fig9MatchesTheBenchGridItReplaced) {
   const SuiteSpec spec =
       SuiteSpec::load_shipped("fig9_vc_selection.json");
   EXPECT_EQ(spec.loads, (std::vector<double>{1.0}));
-  const auto grid = spec.materialize(bench_defaults());
+  const auto grid = spec.materialize(run_defaults());
 
   // The grid exactly as bench_fig9_vc_selection.cpp used to build it.
-  SimConfig base = bench_defaults();
+  SimConfig base = run_defaults();
   base.reactive = true;
   base.traffic = "uniform";
   base.routing = "min";
@@ -387,22 +390,59 @@ TEST(ShippedSuites, Fig9MatchesTheBenchGridItReplaced) {
 }
 
 TEST(ShippedSuites, AllShippedSuitesMaterialize) {
-  const char* files[] = {
-      "fig9_vc_selection.json",     "fig6a_uniform_min.json",
-      "fig6b_bursty_min.json",      "fig6c_adversarial_val.json",
-      "fig11a_uniform_min.json",    "fig11b_bursty_min.json",
-      "fig11c_adversarial_val.json", "adaptive_routing_study.json",
-      "bursty_datacenter.json",     "smoke_tiny.json",
-  };
-  for (const char* file : files) {
+  // Every *.json in the shipped directory, so a new suite file is covered
+  // the moment it lands.
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(FLEXNET_SUITE_DIR))
+    if (entry.is_regular_file() && entry.path().extension() == ".json")
+      files.push_back(entry.path().filename().string());
+  std::sort(files.begin(), files.end());
+  EXPECT_NE(std::find(files.begin(), files.end(), "fig6_flow_control.json"),
+            files.end());
+  EXPECT_NE(std::find(files.begin(), files.end(), "fig5a_uniform_min.json"),
+            files.end());
+  for (const std::string& file : files) {
     SCOPED_TRACE(file);
     const SuiteSpec spec =
         SuiteSpec::load_shipped(file);
     EXPECT_FALSE(spec.title.empty());
     EXPECT_FALSE(spec.description.empty());
-    const auto grid = spec.materialize(bench_defaults());
+    const auto grid = spec.materialize(run_defaults());
     EXPECT_FALSE(grid.empty());
   }
+}
+
+// materialize_for_run's defaults for what a suite leaves unset: these are
+// the horizon and system every shipped figure suite runs at by default.
+TEST(ShippedSuites, RunDefaultsArePinned) {
+  const std::string path =
+      ::testing::TempDir() + "flexnet_run_defaults_suite.json";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << R"({"title": "defaults", "series": [{"label": "only"}],
+               "loads": [0.5]})";
+  }
+  const MaterializedSuite suite = materialize_for_run(path);
+  ASSERT_EQ(suite.grid.size(), 1u);
+  const SimConfig& cfg = suite.grid[0].config;
+  EXPECT_EQ(cfg.dragonfly.p, 2);
+  EXPECT_EQ(cfg.dragonfly.a, 4);
+  EXPECT_EQ(cfg.dragonfly.h, 2);
+  EXPECT_EQ(cfg.warmup, 10000);
+  EXPECT_EQ(cfg.measure, 20000);
+  EXPECT_EQ(suite.seeds, 1);
+  // Every other field is the Table V default.
+  EXPECT_EQ(cfg.canonical(), run_defaults().canonical());
+
+  // Command-line extras scale the same grid up.
+  const Options extra =
+      Options::parse_string("paper_scale=true measure=40000");
+  const MaterializedSuite scaled = materialize_for_run(path, &extra);
+  EXPECT_EQ(scaled.grid[0].config.dragonfly.num_nodes(), 16512);
+  EXPECT_EQ(scaled.grid[0].config.measure, 40000);
+  EXPECT_NE(scaled.fingerprint, suite.fingerprint);
+  std::remove(path.c_str());
 }
 
 TEST(ShippedSuites, CapacityPanelGridShape) {
@@ -410,14 +450,14 @@ TEST(ShippedSuites, CapacityPanelGridShape) {
   // 4 capacities x (Baseline, DAMQ, FlexVC 2/1, 4/2, 8/4).
   EXPECT_EQ(spec.series.size(), 20u);
   EXPECT_EQ(spec.loads, (std::vector<double>{0.7, 0.85, 1.0}));
-  const auto grid = spec.materialize(bench_defaults());
+  const auto grid = spec.materialize(run_defaults());
   EXPECT_EQ(grid[0].label, "Baseline @64/256");
   EXPECT_EQ(grid[0].config.local_port_capacity, 64);
   EXPECT_EQ(grid[0].config.global_port_capacity, 256);
   EXPECT_EQ(grid[0].config.policy, "baseline");
   // Fig 11 is the same grid with speedup pinned to 1 in the suite base.
   const SuiteSpec no_speedup = SuiteSpec::load_shipped("fig11a_uniform_min.json");
-  const auto grid11 = no_speedup.materialize(bench_defaults());
+  const auto grid11 = no_speedup.materialize(run_defaults());
   EXPECT_EQ(grid11[0].config.speedup, 1);
   EXPECT_EQ(grid[0].config.speedup, 2);
 }

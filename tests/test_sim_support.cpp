@@ -1,8 +1,9 @@
 // Supporting machinery: HopSeq, Metrics windows, SimConfig overrides, and
-// the experiment-harness helpers the benches are built on.
+// the experiment helpers flexnet_run sweeps are built on.
 #include <gtest/gtest.h>
 
 #include "core/hop_seq.hpp"
+#include "runner/sweep_runner.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 
@@ -121,25 +122,36 @@ TEST(Experiment, SweepResultMaxima) {
   EXPECT_DOUBLE_EQ(sweep.saturation_accepted(), 0.5);
 }
 
-TEST(Experiment, RunLoadSweepFillsRows) {
+TEST(Experiment, SweepRunnerFillsRows) {
   SimConfig cfg;
   cfg.warmup = 500;
   cfg.measure = 1000;
-  auto sweeps = run_load_sweep({{"test", cfg}}, {0.1, 0.3}, 1);
+  auto sweeps = SweepRunner(1).run({{"test", cfg}}, {0.1, 0.3}, 1);
   ASSERT_EQ(sweeps.size(), 1u);
+  ASSERT_EQ(sweeps[0].label, "test");
   ASSERT_EQ(sweeps[0].rows.size(), 2u);
+  EXPECT_DOUBLE_EQ(sweeps[0].rows[0].load, 0.1);
+  EXPECT_DOUBLE_EQ(sweeps[0].rows[1].load, 0.3);
   EXPECT_NEAR(sweeps[0].rows[0].result.accepted, 0.1, 0.03);
   EXPECT_NEAR(sweeps[0].rows[1].result.accepted, 0.3, 0.03);
 }
 
-TEST(Experiment, RunAveragedUsesDistinctSeeds) {
+TEST(Experiment, RunPointAveragesDistinctSeeds) {
   SimConfig cfg;
   cfg.warmup = 500;
   cfg.measure = 1000;
   cfg.load = 0.4;
-  const SimResult avg = run_averaged(cfg, 2);
+  const SimResult avg = SweepRunner(1).run_point(cfg, 2);
   EXPECT_NEAR(avg.accepted, 0.4, 0.03);
   EXPECT_GT(avg.consumed_packets, 0);
+  // Seeds seed and seed+1: two different runs, whose totals the point sums.
+  const SimResult first =
+      Simulator(SweepRunner::job_config(cfg, cfg.load, 0)).run();
+  const SimResult second =
+      Simulator(SweepRunner::job_config(cfg, cfg.load, 1)).run();
+  EXPECT_NE(first.consumed_packets, second.consumed_packets);
+  EXPECT_EQ(avg.consumed_packets,
+            first.consumed_packets + second.consumed_packets);
 }
 
 // --- SimConfig.

@@ -118,20 +118,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", tok.c_str());
       return usage(argv[0]);
     } else if (tok.find('=') != std::string::npos) {
-      const std::string key = tok.substr(0, tok.find('='));
-      const std::string val = tok.substr(tok.find('=') + 1);
-      // The key=value spellings flexnet_run accepts for its runner flags
-      // work here too (the two CLIs must read the same command lines).
-      if (key == "out") {
-        out_path = val;
-      } else if (key == "json") {
-        json_path = val;
-      } else {
-        // Same typo guard as flexnet_run: an unknown override key would
-        // rebuild a different grid and reject every journal confusingly.
-        if (cli::reject_unknown_config_key(key)) return 2;
-        overrides.push_back(argv[i]);
-      }
+      // Same typo guard as flexnet_run: an unknown override key would
+      // rebuild a different grid and reject every journal confusingly.
+      if (cli::reject_unknown_config_key(tok.substr(0, tok.find('='))))
+        return 2;
+      overrides.push_back(argv[i]);
     } else if (suite_path.empty()) {
       suite_path = tok;
     } else {
