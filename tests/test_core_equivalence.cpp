@@ -124,6 +124,14 @@ TEST(CoreEquivalence, Fig6FlowControlGoldenReportByteIdentical) {
                        "fig6_flow_control.golden.json");
 }
 
+// ON/OFF (bursty) injection: the only golden whose nodes sit idle for
+// long stretches and then inject back to back, so it pins the node
+// calendar's generation look-ahead and injection scheduling.
+TEST(CoreEquivalence, BurstyDatacenterGoldenReportByteIdentical) {
+  check_against_golden("bursty_datacenter.json",
+                       "bursty_datacenter.golden.json");
+}
+
 // --- Credit-owner regression (Network::deliver).
 //
 // A credit travels the reverse channel of the link its packet used, and
