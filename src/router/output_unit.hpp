@@ -13,6 +13,8 @@
 // cycles, so head-pop order is ready order.
 #pragma once
 
+#include <algorithm>
+
 #include "buffers/packet_pool.hpp"
 #include "common/check.hpp"
 #include "common/event_lane.hpp"
@@ -59,6 +61,12 @@ class OutputUnit final {
   int capacity() const { return capacity_; }
   bool idle() const { return pipeline_.empty(); }
   Cycle link_busy_until() const { return link_busy_until_; }
+  /// First cycle the head packet can start: it has left the pipeline and
+  /// the link has finished the previous packet (requires !idle()).
+  Cycle next_send_at() const {
+    FLEXNET_DCHECK(!pipeline_.empty());
+    return std::max(pipeline_.front().ready, link_busy_until_);
+  }
 
  private:
   struct Entry {

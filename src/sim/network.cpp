@@ -179,19 +179,31 @@ void Network::build() {
       out_arb_.emplace_back(ports + inj_ports);
   }
 
-  // Nodes.
+  // Calendar span: the largest schedule offset is a link's latency plus
+  // the one-cycle arrival eligibility (data lanes), or a packet's pipeline
+  // latency plus its serialization (output links, reply completions).
+  int max_latency = 0;
+  for (const DirLink& link : links_)
+    max_latency = std::max(max_latency, link.latency);
+  const int max_phits =
+      std::max(config_.effective_packet_phits(), config_.packet_size);
+  const Cycle max_offset =
+      std::max(max_latency + 2, config_.pipeline_latency + max_phits);
+
+  // Nodes. Each draws its injection process at most one calendar span
+  // ahead, so its next visit always fits the calendar.
   pattern_ = traffic_registry().at(config_.traffic).make.pattern(*topo_, config_);
   nodes_.reserve(static_cast<std::size_t>(topo_->num_nodes()));
+  const Cycle lookahead = TimeWheel::span_for(max_offset) - 1;
   for (NodeId n = 0; n < topo_->num_nodes(); ++n) {
     nodes_.push_back(std::make_unique<Node>(
-        n, config_, *pattern_, base.split(0x100000 + static_cast<std::uint64_t>(n))));
+        n, config_, *pattern_,
+        base.split(0x100000 + static_cast<std::uint64_t>(n)), lookahead));
   }
 
   // Active-set bookkeeping and hot-path scratch, sized once here (the
   // allocator never resizes anything per cycle).
   router_buffered_.assign(static_cast<std::size_t>(num_routers), 0);
-  router_in_pipe_.assign(static_cast<std::size_t>(num_routers), 0);
-  router_streaming_.assign(static_cast<std::size_t>(num_routers), 0);
   if (flit_) {
     transit_.assign(static_cast<std::size_t>(total_links), TransitTail{});
     streams_.assign(static_cast<std::size_t>(total_links), LinkStream{});
@@ -233,19 +245,31 @@ void Network::build() {
           router_domain_[static_cast<std::size_t>(links_[li].to)];
     }
   }
-  data_links_.resize(static_cast<std::size_t>(domains_));
-  credit_links_.resize(static_cast<std::size_t>(domains_));
+  // Calendars swept by owner domain cover only that domain's ids (links
+  // and nodes are numbered by router); data lanes are swept by receiver
+  // domain, whose inbound links are scattered over the whole id range.
+  data_wheel_.resize(static_cast<std::size_t>(domains_));
+  credit_wheel_.resize(static_cast<std::size_t>(domains_));
+  send_wheel_.resize(static_cast<std::size_t>(domains_));
+  node_wheel_.resize(static_cast<std::size_t>(domains_));
   alloc_sets_.resize(static_cast<std::size_t>(domains_));
-  send_sets_.resize(static_cast<std::size_t>(domains_));
   for (int d = 0; d < domains_; ++d) {
-    data_links_[static_cast<std::size_t>(d)].resize(
-        static_cast<std::size_t>(total_links));
-    credit_links_[static_cast<std::size_t>(d)].resize(
-        static_cast<std::size_t>(total_links));
-    alloc_sets_[static_cast<std::size_t>(d)].resize(
-        static_cast<std::size_t>(num_routers));
-    send_sets_[static_cast<std::size_t>(d)].resize(
-        static_cast<std::size_t>(num_routers));
+    const auto di = static_cast<std::size_t>(d);
+    const RouterId r0 = static_cast<RouterId>(
+        static_cast<std::int64_t>(num_routers) * d / domains_);
+    const RouterId r1 = static_cast<RouterId>(
+        static_cast<std::int64_t>(num_routers) * (d + 1) / domains_);
+    const int l0 = link_index_[static_cast<std::size_t>(r0)];
+    const int l1 = link_index_[static_cast<std::size_t>(r1)];
+    data_wheel_[di].resize(0, total_links, max_offset);
+    credit_wheel_[di].resize(l0, l1, max_offset);
+    send_wheel_[di].resize(l0, l1, max_offset);
+    const NodeId n0 = topo_->first_node_of_router(r0);
+    const NodeId n1 = topo_->first_node_of_router(r1);
+    node_wheel_[di].resize(n0, n1, max_offset);
+    // Every node is due at cycle 0: its first look-ahead.
+    for (NodeId n = n0; n < n1; ++n) node_wheel_[di].add(n, 0);
+    alloc_sets_[di].resize(static_cast<std::size_t>(num_routers));
   }
   scratch_.resize(static_cast<std::size_t>(domains_));
   for (int d = 0; d < domains_; ++d)
@@ -265,13 +289,12 @@ void Network::build() {
                         config_.packet_size) + 2;
   port_masks_ok_ = true;
   for (RouterId r = 0; r < num_routers; ++r) {
-    if (num_inputs(r) > 64 || net_ports(r) > 64) {
+    if (num_inputs(r) > 64) {
       port_masks_ok_ = false;
       break;
     }
   }
   armed_inputs_.assign(static_cast<std::size_t>(num_routers), 0);
-  send_links_.assign(static_cast<std::size_t>(num_routers), 0);
   // Blocked uncommitted heads may sleep only when re-running their VC
   // allocation is pure: draw-free routing and a selection function that
   // consumes no randomness (kRandom reservoir-samples per feasible VC).
@@ -401,8 +424,8 @@ void Network::trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const {
 
 void Network::step(Cycle now) {
   FLEXNET_TELEM(if (telem_.enabled())
-                    telem_.on_step(pending_lane_work(), pending_alloc_work(),
-                                   pending_send_work(), pool_.live()));
+                    telem_.on_step(due_lane_work(now), pending_alloc_work(),
+                                   due_send_work(now), pool_.live()));
   // Phases run one at a time across all domains with a full barrier in
   // between (DomainTeam::run); staged cross-domain effects merge serially
   // at the barrier. Data lanes are swept by receiver domain, credit lanes
@@ -412,7 +435,7 @@ void Network::step(Cycle now) {
   flush_lane_adds();  // cut-through credits may cross domains
   team_->run([this, now](int d) { deliver_credits(d, now); });
   routing_->update(now);
-  for (auto& node : nodes_) node->step(now, *this);
+  step_nodes(now);
   team_->run([this, now](int d) {
     DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
     // Fire the ejection wakes due this cycle before sweeping: the slots
@@ -434,20 +457,28 @@ void Network::step(Cycle now) {
   commit_allocate(now);
   team_->run([this, now](int d) {
     DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-    send_sets_[static_cast<std::size_t>(d)].sweep([&](std::int32_t r) {
-      send(r, now, ds);
-      // An active link stream keeps the router sending even when the
-      // output pipelines drained — stalled body flits retry every cycle.
-      return router_in_pipe_[static_cast<std::size_t>(r)] > 0 ||
-             router_streaming_[static_cast<std::size_t>(r)] > 0;
-    });
+    send_wheel_[static_cast<std::size_t>(d)].sweep(
+        now, [&](std::int32_t li) { send_link(li, now, ds); });
   });
   flush_lane_adds();  // sent data may land in another domain
 }
 
+void Network::step_nodes(Cycle now) {
+  // Serial, ascending domain order over contiguous node ranges: nodes act
+  // in ascending id order, so packet ids and pool slots are handed out in
+  // the order of a full node scan.
+  for (int d = 0; d < domains_; ++d) {
+    TimeWheel& wheel = node_wheel_[static_cast<std::size_t>(d)];
+    wheel.sweep(now, [&](std::int32_t n) {
+      const Cycle due = nodes_[static_cast<std::size_t>(n)]->step(now, *this);
+      wheel.add(n, wheel.clamp(due));
+    });
+  }
+}
+
 void Network::deliver_data(int d, Cycle now) {
   DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-  data_links_[static_cast<std::size_t>(d)].sweep([&](std::int32_t li) {
+  data_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
     DirLink& link = links_[static_cast<std::size_t>(li)];
     while (!link.data.empty() && link.data.front().arrive <= now) {
       const FlyingPacket fp = link.data.front();
@@ -481,10 +512,10 @@ void Network::deliver_data(int d, Cycle now) {
       if (tail.ref == fp.ref && tail.remaining > 0) {
         // The freed upstream slot travels back per flit. The credit lane
         // belongs to this link's owner domain, which sweeps it in the
-        // credits phase — route the lane-set addition there.
+        // credits phase — schedule it in that domain's calendar.
         link.credits.push_back(FlyingCredit{fp.vc, 1, tail.kind,
                                             now + link.latency});
-        add_credit_link(li, ds);
+        add_credit_link(li, now + link.latency, ds);
         --tail.remaining;
         if (tail.remaining == 0) tail = TransitTail{};
         FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_transit(li));
@@ -500,7 +531,6 @@ void Network::deliver_data(int d, Cycle now) {
         alloc_sets_[static_cast<std::size_t>(d)].add(link.to);
       }
     }
-    return !link.data.empty();
   });
 }
 
@@ -512,7 +542,7 @@ void Network::deliver_credits(int d, Cycle now) {
   // pushed at least one cycle ahead of their arrival, so draining them in
   // a separate phase after all data movement is byte-identical to the old
   // per-link data-then-credits interleave.
-  credit_links_[static_cast<std::size_t>(d)].sweep([&](std::int32_t li) {
+  credit_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
     DirLink& link = links_[static_cast<std::size_t>(li)];
     CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
     bool drained = false;
@@ -525,7 +555,6 @@ void Network::deliver_credits(int d, Cycle now) {
     }
     // Ledger space only ever grows here — wake every slot sleeping on it.
     if (drained) fire_waiters(link_owner_[static_cast<std::size_t>(li)], li);
-    return !link.credits.empty();
   });
 }
 
@@ -547,19 +576,19 @@ void Network::fire_waiters(RouterId r, int li) {
 
 void Network::flush_lane_adds() {
   // Ascending-domain merge of the cross-domain outboxes. Additions are
-  // idempotent and sweeps sort before visiting, so the merge order never
+  // idempotent and slots are swept in id order, so the merge order never
   // shows in results — this loop only needs to be serial, not ordered.
   for (int d = 0; d < domains_; ++d) {
     DomainScratch& ds = scratch_[static_cast<std::size_t>(d)];
-    for (const std::int32_t li : ds.credit_adds)
-      credit_links_[static_cast<std::size_t>(
-                        link_owner_domain_[static_cast<std::size_t>(li)])]
-          .add(li);
+    for (const LaneAdd& a : ds.credit_adds)
+      credit_wheel_[static_cast<std::size_t>(
+                        link_owner_domain_[static_cast<std::size_t>(a.li)])]
+          .add(a.li, a.at);
     ds.credit_adds.clear();
-    for (const std::int32_t li : ds.data_adds)
-      data_links_[static_cast<std::size_t>(
-                      link_to_domain_[static_cast<std::size_t>(li)])]
-          .add(li);
+    for (const LaneAdd& a : ds.data_adds)
+      data_wheel_[static_cast<std::size_t>(
+                      link_to_domain_[static_cast<std::size_t>(a.li)])]
+          .add(a.li, a.at);
     ds.data_adds.clear();
   }
 }
@@ -1083,9 +1112,12 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
     const PortDesc& desc = topo_->port(r, req.in_port);
     const int uli = link_at(desc.neighbor, desc.neighbor_port);
     DirLink& upstream = links_[static_cast<std::size_t>(uli)];
+    // This cycle's credits are already swept: a zero-latency credit lands
+    // next cycle, as a lane drained at its first sweep after arrival would.
+    const Cycle arrive = now + std::max(upstream.latency, 1);
     upstream.credits.push_back(FlyingCredit{
-        req.in_vc, slot.phits, pkt.credited_kind, now + upstream.latency});
-    add_credit_link(uli, ds);
+        req.in_vc, slot.phits, pkt.credited_kind, arrive});
+    add_credit_link(uli, arrive, ds);
     if (flit_ && slot.phits < pkt.size) {
       TransitTail& tail = transit_[static_cast<std::size_t>(uli)];
       FLEXNET_CHECK(tail.ref == kInvalidPacketRef);
@@ -1113,8 +1145,14 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
     // generation accounting, pool release — are staged and flushed in
     // ascending-domain (= ascending-router) order at commit_allocate so
     // parallel domains reproduce the serial order byte for byte.
-    const Cycle completion =
-        nodes_[static_cast<std::size_t>(pkt.dst)]->consume(pkt, now);
+    Node& node = *nodes_[static_cast<std::size_t>(pkt.dst)];
+    const Cycle completion = node.consume(pkt, now);
+    if (node.consume_spawns_reply(pkt)) {
+      // The reply becomes injectable at the completion cycle.
+      FLEXNET_DCHECK(router_domain_[static_cast<std::size_t>(r)] == ds.domain);
+      TimeWheel& wheel = node_wheel_[static_cast<std::size_t>(ds.domain)];
+      wheel.add(pkt.dst, wheel.clamp(completion));
+    }
     ds.consumed.push_back(StagedConsume{slot.ref, completion});
     return;
   }
@@ -1149,50 +1187,36 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
     telem_.on_send(li, cmt.out_vc, claim, lg.occupied(cmt.out_vc),
                    lg.occupied_port());
   });
-  out_[static_cast<std::size_t>(li)].accept(slot.ref, pkt.size, cmt.out_vc,
-                                            now);
-  if (port_masks_ok_)
-    send_links_[static_cast<std::size_t>(r)] |= std::uint64_t{1}
-                                                << cmt.option.out_port;
-  ++router_in_pipe_[static_cast<std::size_t>(r)];
-  send_sets_[static_cast<std::size_t>(ds.domain)].add(r);
-}
-
-void Network::send(RouterId r, Cycle now, DomainScratch& ds) {
-  const int li0 = link_index_[static_cast<std::size_t>(r)];
-  if (port_masks_ok_) {
-    // Visit only the links with queued or streaming work, ascending —
-    // the same order as the full scan, which only adds no-op iterations.
-    std::uint64_t pend = send_links_[static_cast<std::size_t>(r)];
-    std::uint64_t still = 0;
-    while (pend != 0) {
-      const int o = __builtin_ctzll(pend);
-      pend &= pend - 1;
-      if (send_link(r, li0 + o, now, ds)) still |= std::uint64_t{1} << o;
-    }
-    send_links_[static_cast<std::size_t>(r)] = still;
-    return;
-  }
-  const int li1 = link_index_[static_cast<std::size_t>(r) + 1];
-  for (int li = li0; li < li1; ++li) send_link(r, li, now, ds);
-}
-
-bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
   OutputUnit& ou = out_[static_cast<std::size_t>(li)];
+  // A packet entering an idle output becomes its head: schedule the link.
+  // A queued head already holds an earlier slot, and a live flit stream
+  // revisits the link every cycle and schedules the head when it ends.
+  const bool schedule = ou.idle() &&
+      !(flit_ && streams_[static_cast<std::size_t>(li)].ref != kInvalidPacketRef);
+  ou.accept(slot.ref, pkt.size, cmt.out_vc, now);
+  if (schedule) schedule_send(li, now, ds);
+}
+
+void Network::send_link(int li, Cycle now, DomainScratch& ds) {
+  OutputUnit& ou = out_[static_cast<std::size_t>(li)];
+  const RouterId r = link_owner_[static_cast<std::size_t>(li)];
   if (!flit_) {
-    if (!ou.ready_to_send(now)) return !ou.idle();
-    VcIndex vc = kInvalidVc;
-    const PacketRef ref = ou.start_send(now, vc);
-    // The departure freed output-buffer space: wake the slots sleeping
-    // on this link's can_reserve edge.
-    fire_waiters(r, li);
-    DirLink& link = links_[static_cast<std::size_t>(li)];
-    // The packet is eligible downstream one cycle after its head
-    // arrives; its phits keep streaming behind it.
-    link.data.push_back(FlyingPacket{ref, vc, now + link.latency + 1, 0});
-    add_data_link(li, ds);
-    --router_in_pipe_[static_cast<std::size_t>(r)];
-    return !ou.idle();
+    // An early visit (a clamped schedule) only reschedules.
+    if (ou.ready_to_send(now)) {
+      VcIndex vc = kInvalidVc;
+      const PacketRef ref = ou.start_send(now, vc);
+      // The departure freed output-buffer space: wake the slots sleeping
+      // on this link's can_reserve edge.
+      fire_waiters(r, li);
+      DirLink& link = links_[static_cast<std::size_t>(li)];
+      // The packet is eligible downstream one cycle after its head
+      // arrives; its phits keep streaming behind it.
+      const Cycle arrive = now + link.latency + 1;
+      link.data.push_back(FlyingPacket{ref, vc, arrive, 0});
+      add_data_link(li, arrive, ds);
+    }
+    schedule_send(li, now + 1, ds);
+    return;
   }
   // Flit-level flow control: the link serializes one packet at a time,
   // one flit per cycle. The head flit leaves the cycle the stream
@@ -1200,11 +1224,13 @@ bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
   // with one-flit packets the two paths emit identical link events.
   LinkStream& st = streams_[static_cast<std::size_t>(li)];
   if (st.ref == kInvalidPacketRef) {
-    if (!ou.ready_to_send(now)) return !ou.idle();
+    if (!ou.ready_to_send(now)) {
+      schedule_send(li, now + 1, ds);
+      return;
+    }
     VcIndex vc = kInvalidVc;
     const PacketRef ref = ou.start_send(now, vc);
     fire_waiters(r, li);
-    --router_in_pipe_[static_cast<std::size_t>(r)];
     const Packet& pkt = pool_[ref];
     st.ref = ref;
     st.vc = vc;
@@ -1216,8 +1242,11 @@ bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
     // Captured now: a later grant downstream rewrites pkt.route_kind
     // while body flits are still claiming space at this ledger.
     st.kind = pkt.route_kind;
-    ++router_streaming_[static_cast<std::size_t>(r)];
   }
+  // A live stream is revisited every cycle: stalled flits retry.
+  const auto next_cycle = [&] {
+    send_wheel_[static_cast<std::size_t>(ds.domain)].add(li, now + 1);
+  };
   // Availability: a flit can only leave once it has arrived here. The
   // TransitTail on the inbound link counts the flits still in flight.
   int arrived = st.total;
@@ -1231,7 +1260,8 @@ bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
   }
   if (st.next >= arrived) {
     FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_stall(li));
-    return true;  // wait for the tail to catch up
+    next_cycle();  // wait for the tail to catch up
+    return;
   }
   if (flow_control_ == FlowControl::kWormhole && st.next > 0) {
     // Body flits claim downstream space one at a time; a full buffer
@@ -1239,22 +1269,23 @@ bool Network::send_link(RouterId r, int li, Cycle now, DomainScratch& ds) {
     CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
     if (!ledger.can_send(st.vc, 1)) {
       FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit_stall(li));
-      return true;
+      next_cycle();
+      return;
     }
     ledger.on_send(st.vc, 1, st.kind);
   }
   DirLink& link = links_[static_cast<std::size_t>(li)];
-  link.data.push_back(
-      FlyingPacket{st.ref, st.vc, now + link.latency + 1, st.next});
-  add_data_link(li, ds);
+  const Cycle arrive = now + link.latency + 1;
+  link.data.push_back(FlyingPacket{st.ref, st.vc, arrive, st.next});
+  add_data_link(li, arrive, ds);
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_flit(li));
   ++st.next;
-  if (st.next == st.total) {
-    st = LinkStream{};
-    --router_streaming_[static_cast<std::size_t>(r)];
-    return !ou.idle();
+  if (st.next < st.total) {
+    next_cycle();
+    return;
   }
-  return true;
+  st = LinkStream{};
+  schedule_send(li, now + 1, ds);
 }
 
 }  // namespace flexnet

@@ -6,7 +6,7 @@
 // front of a small output buffer, and credit-based flow control whose
 // credits travel back with the link latency.
 //
-// Engine layout (the active-set core):
+// Engine layout (the event-driven core):
 //   * Router state is struct-of-arrays: input buffers, arbiters,
 //     commitments, output units, and credit ledgers live in flat vectors
 //     indexed by global (router, port) slots via per-router offset tables
@@ -15,10 +15,25 @@
 //     queues and link lanes move 4-byte PacketRefs, never whole packets.
 //   * In-flight traffic sits in per-link ring-buffer event lanes
 //     (EventLane) ordered by arrival cycle.
-//   * Each phase iterates a deterministic worklist of only the links and
-//     routers with pending work (ActiveSet, swept in ascending id order so
-//     results are bit-identical to the full scans they replaced);
-//     quiescent routers cost nothing.
+//   * Calendars (TimeWheel) key the per-cycle work by the cycle it falls
+//     due, so a cycle costs the events in it, not the links and nodes
+//     that exist: link lanes by their next arrival, output links by the
+//     cycle their head packet can start (every cycle while a flit stream
+//     is live), nodes by their next generation, injectable source-queue
+//     head, or reply completion. Three rules keep every sweep identical to
+//     the full scan it replaced:
+//       1. every push schedules its slot — a lane push schedules the lane
+//          at the event's arrival, a grant into an idle output schedules
+//          the link, a consumed request schedules its node at the reply's
+//          completion — and a visit that does its work reschedules itself
+//          for the next (an early visit is a no-op that reschedules);
+//       2. a sweep never adds to its own slot (TimeWheel::add checks
+//          1 <= at - now < span); each slot visits ascending ids;
+//       3. node calendars are swept serially in ascending domain order —
+//          nodes are contiguous per domain, so nodes act in ascending id
+//          order and packet ids and pool slots are handed out as before.
+//     Routers with armed input slots are an ActiveSet (a bitmap swept in
+//     ascending id order); quiescent routers cost nothing.
 //   * Arbitration is pruned and batched: every input VC slot carries an
 //     armed bit, and a head packet blocked on a condition that only a
 //     discrete event can change (credit return, output-buffer slot free,
@@ -140,6 +155,9 @@ class Network final : public CongestionOracle {
   }
   int num_input_ports(RouterId r) const { return num_inputs(r); }
 
+  /// Span of the event calendars (TimeWheel), in cycles.
+  Cycle calendar_span() const { return send_wheel_.front().span(); }
+
   /// Prints every buffered head packet older than `min_age` — the stalled
   /// traffic diagnostic the deadlock watchdog triggers. Gated on the
   /// FLEXNET_DEBUG_STUCK environment variable: unless it is set (non-empty,
@@ -236,19 +254,25 @@ class Network final : public CongestionOracle {
     Cycle completion = 0;
   };
 
+  /// A link-lane arrival scheduled from another domain.
+  struct LaneAdd {
+    std::int32_t li = -1;
+    Cycle at = 0;
+  };
+
   /// Per-domain hot-path scratch plus the staging lanes that make the
   /// parallel sweep deterministic: counters accumulate thread-locally and
-  /// fold into the Network totals at the barrier; cross-domain ActiveSet
+  /// fold into the Network totals at the barrier; cross-domain calendar
   /// additions queue here and merge serially (additions are idempotent and
-  /// sweeps sort, so merge order never shows in results).
+  /// slots are swept in id order, so merge order never shows in results).
   struct DomainScratch {
     int domain = 0;
     std::vector<RouteOption> options;
     std::vector<VcCandidate> cands;
     std::vector<std::int32_t> touched;      ///< output lanes filled this iter
     std::vector<StagedConsume> consumed;    ///< ejections for the barrier
-    std::vector<std::int32_t> credit_adds;  ///< cross-domain credit-lane ids
-    std::vector<std::int32_t> data_adds;    ///< cross-domain data-lane ids
+    std::vector<LaneAdd> credit_adds;    ///< cross-domain credit arrivals
+    std::vector<LaneAdd> data_adds;      ///< cross-domain data arrivals
     std::int64_t grants = 0;
     std::int64_t escapes = 0;
     std::int64_t overflow = 0;
@@ -263,6 +287,7 @@ class Network final : public CongestionOracle {
   void build();
   void deliver_data(int d, Cycle now);
   void deliver_credits(int d, Cycle now);
+  void step_nodes(Cycle now);
   void allocate(RouterId r, Cycle now, DomainScratch& ds);
   void commit_allocate(Cycle now);
   void trace_packet(const Packet& pkt, PacketRef ref, Cycle now) const;
@@ -271,10 +296,17 @@ class Network final : public CongestionOracle {
   bool find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
                    Request& req, DomainScratch& ds);
   void grant(RouterId r, const Request& req, Cycle now, DomainScratch& ds);
-  void send(RouterId r, Cycle now, DomainScratch& ds);
-  /// One output link's serializer turn; returns whether the link still has
-  /// queued or streaming work (keeps its send_links_ bit set).
-  bool send_link(RouterId r, int li, Cycle now, DomainScratch& ds);
+  /// One output link's serializer turn at a cycle it was scheduled; the
+  /// link reschedules itself while it has queued or streaming work.
+  void send_link(int li, Cycle now, DomainScratch& ds);
+  /// Schedules an output link with queued packets and no live stream at
+  /// the cycle its head can start, not before `earliest`.
+  void schedule_send(int li, Cycle earliest, DomainScratch& ds) {
+    const OutputUnit& ou = out_[static_cast<std::size_t>(li)];
+    if (ou.idle()) return;
+    TimeWheel& wheel = send_wheel_[static_cast<std::size_t>(ds.domain)];
+    wheel.add(li, wheel.clamp(std::max(ou.next_send_at(), earliest)));
+  }
 
   // --- Re-request pruning. A slot is (global input, VC); armed means
   // stage1_pick evaluates it. Disarming is legal only in states where
@@ -332,33 +364,35 @@ class Network final : public CongestionOracle {
     return true;
   }
 
-  // Cross-domain ActiveSet routing: direct add when the target lane's
-  // domain is the caller's own (its set is never mid-sweep in that phase),
-  // staged through the domain outbox otherwise.
-  void add_credit_link(int li, DomainScratch& ds) {
+  // Lane pushes schedule the lane's calendar slot at the event's arrival:
+  // directly when the lane's sweeping domain is the caller's own (that
+  // calendar is never mid-sweep in the pushing phase), staged through the
+  // domain outbox otherwise.
+  void add_credit_link(int li, Cycle at, DomainScratch& ds) {
     const int d = link_owner_domain_[static_cast<std::size_t>(li)];
     if (d == ds.domain)
-      credit_links_[static_cast<std::size_t>(d)].add(li);
+      credit_wheel_[static_cast<std::size_t>(d)].add(li, at);
     else
-      ds.credit_adds.push_back(li);
+      ds.credit_adds.push_back(LaneAdd{li, at});
   }
-  void add_data_link(int li, DomainScratch& ds) {
+  void add_data_link(int li, Cycle at, DomainScratch& ds) {
     const int d = link_to_domain_[static_cast<std::size_t>(li)];
     if (d == ds.domain)
-      data_links_[static_cast<std::size_t>(d)].add(li);
+      data_wheel_[static_cast<std::size_t>(d)].add(li, at);
     else
-      ds.data_adds.push_back(li);
+      ds.data_adds.push_back(LaneAdd{li, at});
   }
   void flush_lane_adds();
 
-  // Read-only pending-work gauges summed across domains, kept as helpers
-  // so the telemetry on_step hook stays a pure expression (lint L5).
-  std::int64_t pending_lane_work() const {
+  // Read-only gauges summed across domains — the calendar slots due at
+  // `now` and the allocating routers — kept as helpers so the telemetry
+  // on_step hook stays a pure expression (lint L5).
+  std::int64_t due_lane_work(Cycle now) const {
     std::int64_t n = 0;
     for (int d = 0; d < domains_; ++d)
       n += static_cast<std::int64_t>(
-          data_links_[static_cast<std::size_t>(d)].size() +
-          credit_links_[static_cast<std::size_t>(d)].size());
+          data_wheel_[static_cast<std::size_t>(d)].due(now) +
+          credit_wheel_[static_cast<std::size_t>(d)].due(now));
     return n;
   }
   std::int64_t pending_alloc_work() const {
@@ -368,11 +402,11 @@ class Network final : public CongestionOracle {
           alloc_sets_[static_cast<std::size_t>(d)].size());
     return n;
   }
-  std::int64_t pending_send_work() const {
+  std::int64_t due_send_work(Cycle now) const {
     std::int64_t n = 0;
     for (int d = 0; d < domains_; ++d)
       n += static_cast<std::int64_t>(
-          send_sets_[static_cast<std::size_t>(d)].size());
+          send_wheel_[static_cast<std::size_t>(d)].due(now));
     return n;
   }
 
@@ -420,12 +454,8 @@ class Network final : public CongestionOracle {
   std::vector<int> output_index_;           // per router + sentinel
   std::vector<Rng> rng_;                    // per router
 
-  // --- Active sets: the links and routers with pending work. Counters
-  // are per router; sets are swept in ascending id order (see ActiveSet).
   PacketPool pool_;
   std::vector<std::int32_t> router_buffered_;  // packets in input buffers
-  std::vector<std::int32_t> router_in_pipe_;   // packets in output units
-  std::vector<std::int32_t> router_streaming_;  // active link streams
 
   // --- Flit-level flow control state (empty in packet mode).
   std::vector<TransitTail> transit_;  // by inbound link index
@@ -435,20 +465,25 @@ class Network final : public CongestionOracle {
   /// TransitTail without a search. Grown lazily like traces_.
   std::vector<std::int32_t> flit_src_link_;
   // --- Deterministic parallel domains: contiguous ascending router ranges
-  // (`begin[d] = R * d / D`), one ActiveSet quartet per domain. Data lanes
-  // are swept by the link's *receiver* domain, credit lanes by the link's
-  // *owner* domain — every array element then has exactly one writer per
-  // phase. A team of one (`sim_domains=1`) runs everything inline on the
-  // caller with no thread machinery at all.
+  // (`begin[d] = R * d / D`), one calendar set per domain. Data lanes are
+  // swept by the link's *receiver* domain, credit lanes and output links
+  // by the link's *owner* domain, nodes by their router's domain — every
+  // array element then has exactly one writer per phase. A team of one
+  // (`sim_domains=1`) runs everything inline on the caller with no thread
+  // machinery at all.
   int domains_ = 1;
   std::vector<std::int32_t> router_domain_;     // per router
   std::vector<RouterId> link_owner_;            // per link: (owner, port) inverse
   std::vector<std::int32_t> link_owner_domain_; // per link
   std::vector<std::int32_t> link_to_domain_;    // per link: receiver's domain
-  std::vector<ActiveSet> data_links_;    // per domain: inbound data pending
-  std::vector<ActiveSet> credit_links_;  // per domain: credit returns pending
+  // Calendars share one span: the next power of two above the largest
+  // schedule offset the network produces (max link latency + 2, pipeline
+  // latency + max packet phits).
+  std::vector<TimeWheel> data_wheel_;    // per domain: links, data arriving
+  std::vector<TimeWheel> credit_wheel_;  // per domain: links, credits arriving
+  std::vector<TimeWheel> send_wheel_;    // per domain: output links due
+  std::vector<TimeWheel> node_wheel_;    // per domain: nodes due
   std::vector<ActiveSet> alloc_sets_;    // per domain: routers with armed slots
-  std::vector<ActiveSet> send_sets_;     // per domain: occupied output units
   std::vector<DomainScratch> scratch_;   // per domain
   std::unique_ptr<DomainTeam> team_;
 
@@ -458,17 +493,12 @@ class Network final : public CongestionOracle {
   std::vector<std::int32_t> wait_link_;     // per (input, VC) commit slot
   std::vector<std::vector<std::int32_t>> link_waiters_;  // per link: (gi<<6)|vc
   std::vector<std::int32_t> input_router_;  // per global input: owning router
-  // Bitmask accelerators, valid only when every router's input count and
-  // network-port count fit a 64-bit word (true for every shipped topology;
-  // wider radixes fall back to the dense scans):
-  //   * armed_inputs_[r]: input ports with any armed VC — stage 1 iterates
-  //     set bits instead of scanning every port.
-  //   * send_links_[r]: local output links with queued or streaming work —
-  //     set at grant, cleared when the pipeline drains and no stream is
-  //     live; send() visits only set bits (ascending, like the full scan).
+  // armed_inputs_[r]: input ports with any armed VC — stage 1 iterates
+  // set bits instead of scanning every port. Valid only when every
+  // router's input count fits a 64-bit word (true for every shipped
+  // topology; wider radixes fall back to the dense scan).
   bool port_masks_ok_ = false;
   std::vector<std::uint64_t> armed_inputs_;  // per router
-  std::vector<std::uint64_t> send_links_;    // per router
   // Uncommitted heads may sleep on their blocking resource's wake edges
   // only when re-running VC allocation is pure: a draw-free routing
   // algorithm (options are a function of packet and router alone) and a

@@ -1,5 +1,7 @@
 #include "sim/node.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "scenario/registry.hpp"
 #include "sim/network.hpp"
@@ -7,8 +9,13 @@
 namespace flexnet {
 
 Node::Node(NodeId id, const SimConfig& config, const TrafficPattern& pattern,
-           Rng rng)
-    : id_(id), config_(config), pattern_(pattern), rng_(rng) {
+           Rng rng, Cycle lookahead)
+    : id_(id),
+      config_(config),
+      pattern_(pattern),
+      rng_(rng),
+      lookahead_(lookahead) {
+  FLEXNET_CHECK(lookahead_ >= 1);
   // Reactive traffic offers `load` counting both requests and the replies
   // they spawn, so requests are generated at half the configured load
   // (SIV-B; keeps the injection channel's 1 phit/cycle budget feasible).
@@ -17,9 +24,40 @@ Node::Node(NodeId id, const SimConfig& config, const TrafficPattern& pattern,
       traffic_registry().at(config_.traffic).make.process(config_, request_load);
 }
 
-void Node::step(Cycle now, Network& net) {
-  generate(now, net);
+Cycle Node::step(Cycle now, Network& net) {
+  draw_ahead(now);
+  if (gen_at_ == now) {
+    generate(now, net);
+    gen_at_ = kNone;
+    draw_ahead(now);
+  }
   inject(now, net);
+  Cycle due = gen_at_ != kNone ? gen_at_ : drawn_;
+  // A queued head can inject once the channel is free and it exists; a
+  // head that found the injection buffer full retries next cycle.
+  for (const auto& queue : source_) {
+    if (queue.empty()) continue;
+    due = std::min(due, std::max({inject_busy_until_, queue.front().created,
+                                  now + 1}));
+  }
+  return due;
+}
+
+void Node::draw_ahead(Cycle now) {
+  // Process draws stop at the first success, so the RNG's next draw is
+  // that generation's destination — the order of a per-cycle step. The
+  // node is visited again by drawn_ at the latest (the chunk's end).
+  if (gen_at_ != kNone) return;
+  FLEXNET_DCHECK(drawn_ >= now);
+  const Cycle end = now + lookahead_;
+  while (drawn_ < end) {
+    const Cycle cycle = drawn_++;
+    if (process_->step(rng_)) {
+      gen_at_ = cycle;
+      gen_new_burst_ = process_->new_burst();
+      return;
+    }
+  }
 }
 
 void Node::inject(Cycle now, Network& net) {
@@ -41,10 +79,9 @@ void Node::inject(Cycle now, Network& net) {
 }
 
 void Node::generate(Cycle now, Network& net) {
-  if (!process_->step(rng_)) return;
   // Non-bursty processes report every packet as a new burst, so this is
   // the only destination-refresh rule needed for any registered traffic.
-  if (process_->new_burst() || burst_destination_ == kInvalidNode) {
+  if (gen_new_burst_ || burst_destination_ == kInvalidNode) {
     burst_destination_ = pattern_.destination(id_, rng_);
   }
   Packet pkt;

@@ -131,14 +131,15 @@ class TelemetryCounters {
     ++link_transit_flits_[static_cast<std::size_t>(link)];
   }
 
-  /// Sampled once per Network::step before the sweeps: active-set sizes
-  /// and live pooled packets at the start of the cycle.
+  /// Sampled once per Network::step before the sweeps: the link lanes
+  /// and output links whose calendar slot is due this cycle, the routers
+  /// with armed input slots, and live pooled packets.
   void on_step(std::size_t active_links, std::size_t alloc_routers,
-               std::size_t send_routers, std::int64_t live_packets) {
+               std::size_t send_links, std::int64_t live_packets) {
     ++steps_;
     active_links_sum_ += static_cast<std::int64_t>(active_links);
     alloc_routers_sum_ += static_cast<std::int64_t>(alloc_routers);
-    send_routers_sum_ += static_cast<std::int64_t>(send_routers);
+    send_routers_sum_ += static_cast<std::int64_t>(send_links);
     live_packets_sum_ += live_packets;
   }
 

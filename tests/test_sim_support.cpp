@@ -1,11 +1,16 @@
-// Supporting machinery: HopSeq, Metrics windows, SimConfig overrides, and
-// the experiment helpers flexnet_run sweeps are built on.
+// Supporting machinery: HopSeq, the TimeWheel event calendar, Metrics
+// windows, SimConfig overrides, and the experiment helpers flexnet_run
+// sweeps are built on.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/event_lane.hpp"
 #include "core/hop_seq.hpp"
 #include "runner/sweep_runner.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
+#include "sim/network.hpp"
 
 namespace flexnet {
 namespace {
@@ -48,6 +53,100 @@ TEST(HopSeq, EqualityAndIteration) {
     ++hops;
   }
   EXPECT_EQ(hops, 2);
+}
+
+// --- TimeWheel.
+
+std::vector<std::int32_t> sweep_ids(TimeWheel& wheel, Cycle now) {
+  std::vector<std::int32_t> seen;
+  wheel.sweep(now, [&](std::int32_t id) { seen.push_back(id); });
+  return seen;
+}
+
+TEST(TimeWheel, VisitsASlotInAscendingIdOrderOnce) {
+  TimeWheel wheel;
+  wheel.resize(0, 300, /*max_offset=*/5);
+  EXPECT_EQ(wheel.span(), 8);
+  for (const std::int32_t id : {200, 3, 65, 64, 130, 3, 299})
+    wheel.add(id, 2);
+  wheel.add(7, 3);
+  EXPECT_EQ(wheel.due(2), 6u) << "re-adding an id to a slot is idempotent";
+  EXPECT_TRUE(sweep_ids(wheel, 0).empty());
+  EXPECT_TRUE(sweep_ids(wheel, 1).empty());
+  EXPECT_EQ(sweep_ids(wheel, 2),
+            (std::vector<std::int32_t>{3, 64, 65, 130, 200, 299}));
+  EXPECT_EQ(wheel.due(2), 0u);
+  EXPECT_EQ(sweep_ids(wheel, 3), (std::vector<std::int32_t>{7}));
+}
+
+TEST(TimeWheel, WrapsAroundTheRingWithAnIdOffset) {
+  // Ids [100, 164) on a span-8 ring: every cycle schedules one id at the
+  // farthest offset (span - 1), so slots are reused many times over.
+  TimeWheel wheel;
+  wheel.resize(100, 164, /*max_offset=*/7);
+  ASSERT_EQ(wheel.span(), 8);
+  std::vector<std::vector<std::int32_t>> seen(60);
+  for (Cycle now = 0; now < 60; ++now) {
+    seen[static_cast<std::size_t>(now)] = sweep_ids(wheel, now);
+    wheel.add(100 + static_cast<std::int32_t>(now % 64), now + 7);
+  }
+  for (Cycle now = 0; now < 60; ++now) {
+    const auto& got = seen[static_cast<std::size_t>(now)];
+    if (now < 7) {
+      EXPECT_TRUE(got.empty()) << "cycle " << now;
+    } else {
+      EXPECT_EQ(got, (std::vector<std::int32_t>{
+                         100 + static_cast<std::int32_t>((now - 7) % 64)}))
+          << "cycle " << now;
+    }
+  }
+}
+
+TEST(TimeWheel, SweepMayScheduleLaterSlots) {
+  // A visit reschedules itself and adds lower and higher ids to later
+  // slots; the current slot's visits are unaffected.
+  TimeWheel wheel;
+  wheel.resize(0, 128, /*max_offset=*/3);
+  wheel.add(70, 0);
+  wheel.add(10, 0);
+  std::vector<std::int32_t> first;
+  wheel.sweep(0, [&](std::int32_t id) {
+    first.push_back(id);
+    wheel.add(id, 1);           // reschedule next cycle
+    wheel.add(id / 2, 3);       // and a lower id further out
+    wheel.add(127, wheel.clamp(100));  // clamped to the window's far end
+  });
+  EXPECT_EQ(first, (std::vector<std::int32_t>{10, 70}));
+  EXPECT_EQ(wheel.clamp(0), 1);
+  EXPECT_EQ(sweep_ids(wheel, 1), (std::vector<std::int32_t>{10, 70}));
+  EXPECT_TRUE(sweep_ids(wheel, 2).empty());
+  EXPECT_EQ(sweep_ids(wheel, 3), (std::vector<std::int32_t>{5, 35, 127}));
+}
+
+#ifndef NDEBUG
+TEST(TimeWheelDeathTest, AddOutsideTheWindowFailsTheDcheck) {
+  TimeWheel wheel;
+  wheel.resize(0, 64, /*max_offset=*/3);
+  wheel.sweep(0, [](std::int32_t) {});
+  EXPECT_DEATH(wheel.add(1, 0), "CHECK failed");  // own (swept) slot
+  EXPECT_DEATH(wheel.add(1, 4), "CHECK failed");  // at - now == span
+}
+#endif
+
+TEST(TimeWheel, NetworkSpanFollowsTheLongestScheduleOffset) {
+  // Span: next power of two above max(max link latency + 2, pipeline
+  // latency + max packet phits).
+  SimConfig cfg;
+  cfg.load = 0.0;
+  EXPECT_EQ(Network(cfg).calendar_span(), 128);  // 100 + 2
+  cfg.global_latency = 200;
+  EXPECT_EQ(Network(cfg).calendar_span(), 256);  // 200 + 2
+  cfg.global_latency = 3;
+  cfg.local_latency = 1;
+  EXPECT_EQ(Network(cfg).calendar_span(), 16);  // 5 + 8
+  cfg.pipeline_latency = 20;
+  cfg.phits_per_packet = 16;
+  EXPECT_EQ(Network(cfg).calendar_span(), 64);  // 20 + 16
 }
 
 // --- Metrics.
