@@ -22,6 +22,7 @@ SimResult Simulator::run() {
   // set (the dump and its per-hop trace recording are both gated on it).
   const auto give_up = [&]() {
     net.debug_dump_stuck(now, config_.watchdog / 2);
+    result = SimResult{};
     result.deadlock = true;
     result.cycles = now;
     return result;
@@ -52,6 +53,21 @@ SimResult Simulator::run() {
       static_cast<double>(m.latency_hist().max_value());
   result.consumed_packets = m.consumed_packets();
   result.cycles = now;
+
+  // A stall that began less than `watchdog` cycles before the horizon has
+  // not tripped the watchdog yet. When packets remain and nothing moved in
+  // the last cycle, keep stepping until a packet moves — the point is
+  // valid — or the watchdog trips. The extra cycles are not part of the
+  // run: the fields above stand, and counters and trace spans stop here.
+  if (net.packets_in_network() > 0 && net.last_grant() < now - 1) {
+    net.set_telemetry_enabled(false);
+    net.set_trace(nullptr, 0);
+    for (;; ++now) {
+      net.step(now);
+      if (net.last_grant() == now || net.packets_in_network() == 0) break;
+      if (deadlocked()) return give_up();
+    }
+  }
   return result;
 }
 

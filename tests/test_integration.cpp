@@ -136,6 +136,29 @@ TEST(Integration, DamqWithoutReservationDeadlocks) {
   EXPECT_TRUE(r.deadlock);
 }
 
+TEST(Integration, StallNearTheHorizonIsStillADeadlock) {
+  // The watchdog (20,000 cycles) is longer than the whole run (6,000), so
+  // the stall can only be caught after the horizon: the run must keep
+  // stepping past it and report the deadlock, not a near-zero point.
+  SimConfig cfg = quick_config();
+  cfg.buffer_org = "damq";
+  cfg.damq_private_fraction = 0.0;
+  cfg.load = 1.0;
+  cfg.watchdog = 20000;
+  const SimResult r = run(cfg);
+  EXPECT_TRUE(r.deadlock);
+  EXPECT_GT(r.cycles, cfg.warmup + cfg.measure + cfg.watchdog / 2)
+      << "deadlock declared without waiting out the watchdog";
+  EXPECT_EQ(r.consumed_packets, 0) << "a deadlock reports no measurements";
+
+  // A network still moving at the horizon keeps its point unchanged.
+  cfg.damq_private_fraction = 0.75;
+  const SimResult ok = run(cfg);
+  EXPECT_FALSE(ok.deadlock);
+  EXPECT_EQ(ok.cycles, cfg.warmup + cfg.measure);
+  EXPECT_GT(ok.accepted, 0.5);
+}
+
 TEST(Integration, DamqWithReservationDoesNot) {
   SimConfig cfg = quick_config();
   cfg.buffer_org = "damq";
