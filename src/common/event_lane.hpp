@@ -1,4 +1,4 @@
-// Flat containers of the active-set simulation core.
+// Flat containers of the event-driven simulation core.
 //
 // EventLane<T> is a growable power-of-two ring buffer used for every
 // time-ordered FIFO on the hot path: per-link in-flight packet and credit

@@ -201,7 +201,7 @@ void Network::build() {
         base.split(0x100000 + static_cast<std::uint64_t>(n)), lookahead));
   }
 
-  // Active-set bookkeeping and hot-path scratch, sized once here (the
+  // Hot-path bookkeeping and scratch, sized once here (the
   // allocator never resizes anything per cycle).
   router_buffered_.assign(static_cast<std::size_t>(num_routers), 0);
   if (flit_) {
@@ -545,16 +545,16 @@ void Network::deliver_credits(int d, Cycle now) {
   credit_wheel_[static_cast<std::size_t>(d)].sweep(now, [&](std::int32_t li) {
     DirLink& link = links_[static_cast<std::size_t>(li)];
     CreditLedger& ledger = ledger_[static_cast<std::size_t>(li)];
-    bool drained = false;
+    // A lane is visited exactly at its arrival cycles, so every visit
+    // drains at least one credit.
     while (!link.credits.empty() && link.credits.front().arrive <= now) {
       const FlyingCredit& fc = link.credits.front();
       ledger.on_credit(fc.vc, fc.phits, fc.kind);
       FLEXNET_TELEM(if (telem_.enabled()) telem_.on_credit(li, fc.phits));
       link.credits.pop_front();
-      drained = true;
     }
     // Ledger space only ever grows here — wake every slot sleeping on it.
-    if (drained) fire_waiters(link_owner_[static_cast<std::size_t>(li)], li);
+    fire_waiters(link_owner_[static_cast<std::size_t>(li)], li);
   });
 }
 

@@ -1,4 +1,4 @@
-// Core-equivalence gate for the active-set simulation engine.
+// Core-equivalence gate for the event-driven simulation engine.
 //
 // The per-cycle engine (Network::step and everything under it) may be
 // refactored for speed only if the results stay bit-identical. This suite
