@@ -132,6 +132,17 @@ TEST(CoreEquivalence, BurstyDatacenterGoldenReportByteIdentical) {
                        "bursty_datacenter.golden.json");
 }
 
+// Nonminimal routing under request-reply traffic: Valiant and Piggyback
+// (per port and per VC, with and without minCred) on adversarial traffic.
+// The only golden whose packets take Valiant detours and minimal escapes,
+// so it pins the committed route state a grant applies (kind, Valiant
+// router and its reached flag, escape accounting) and the minCred
+// per-VC counters Piggyback reads.
+TEST(CoreEquivalence, Fig8cAdversarialPbGoldenReportByteIdentical) {
+  check_against_golden("fig8c_adversarial_pb.json",
+                       "fig8c_adversarial_pb.golden.json");
+}
+
 // --- Credit-owner regression (Network::deliver).
 //
 // A credit travels the reverse channel of the link its packet used, and
