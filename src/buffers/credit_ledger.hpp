@@ -10,12 +10,18 @@
 // by the receiver carry the packet's RouteKind flag — the paper's "one
 // additional flag per credit packet and an additional credit counter per
 // output port".
+//
+// Layout: the object is one pointer to a single block (HeadedArray) that
+// holds the port's geometry and counters followed by its per-VC counter
+// pairs (all phits, minimal phits), sized to the port's VC count — a send,
+// a credit or a congestion read touches one block.
 #pragma once
 
 #include <algorithm>
-#include <vector>
+#include <cstdint>
 
 #include "common/check.hpp"
+#include "common/headed_array.hpp"
 #include "common/types.hpp"
 
 namespace flexnet {
@@ -23,12 +29,10 @@ namespace flexnet {
 class CreditLedger {
  public:
   CreditLedger(int num_vcs, int private_per_vc, int shared_capacity)
-      : private_per_vc_(private_per_vc),
-        shared_capacity_(shared_capacity),
-        occupied_(static_cast<std::size_t>(num_vcs), 0),
-        occupied_min_(static_cast<std::size_t>(num_vcs), 0) {}
+      : vcs_(Port{private_per_vc, shared_capacity},
+             static_cast<std::size_t>(num_vcs)) {}
 
-  int num_vcs() const { return static_cast<int>(occupied_.size()); }
+  int num_vcs() const { return static_cast<int>(vcs_.size()); }
 
   /// Switches the ledger to on/off backpressure (buffer_mgmt=on_off): the
   /// downstream port is modeled by a single stop/go bit with hysteresis —
@@ -41,25 +45,27 @@ class CreditLedger {
   /// leaves behavior byte-identical to exact credits.
   void enable_on_off(int off_threshold, int on_threshold) {
     FLEXNET_CHECK(off_threshold >= 0 && on_threshold >= off_threshold);
-    on_off_ = true;
-    off_threshold_ = off_threshold;
-    on_threshold_ = on_threshold;
+    Port& p = port();
+    p.on_off = true;
+    p.off_threshold = off_threshold;
+    p.on_threshold = on_threshold;
     update_off_bit();
   }
 
-  bool on_off_enabled() const { return on_off_; }
+  bool on_off_enabled() const { return port().on_off; }
   /// True while the downstream port signals "stop".
-  bool is_off() const { return off_; }
+  bool is_off() const { return port().off; }
 
   /// Free phits the sender may use for this VC right now.
   int free_for(VcIndex vc) const {
-    const int occ = occupied_[static_cast<std::size_t>(vc)];
-    const int private_free = private_per_vc_ - std::min(occ, private_per_vc_);
-    return private_free + shared_capacity_ - shared_used_;
+    const Port& p = port();
+    const int occ = counters(vc).occupied;
+    const int private_free = p.private_per_vc - std::min(occ, p.private_per_vc);
+    return private_free + p.shared_capacity - p.shared_used;
   }
 
   bool can_send(VcIndex vc, int phits) const {
-    return (!on_off_ || !off_) && free_for(vc) >= phits;
+    return (!port().on_off || !port().off) && free_for(vc) >= phits;
   }
 
   void on_send(VcIndex vc, int phits, RouteKind kind) {
@@ -70,61 +76,74 @@ class CreditLedger {
   /// Credit returned by the receiver when a packet leaves its buffer.
   void on_credit(VcIndex vc, int phits, RouteKind kind) {
     add(vc, -phits, kind);
-    FLEXNET_DCHECK(occupied_[static_cast<std::size_t>(vc)] >= 0);
+    FLEXNET_DCHECK(counters(vc).occupied >= 0);
   }
 
   /// Downstream occupancy attributable to this sender, in phits. This is the
   /// congestion signal Piggyback compares (SII: "each router measures the
   /// occupancy (credits) of its global ports").
-  int occupied(VcIndex vc) const {
-    return occupied_[static_cast<std::size_t>(vc)];
-  }
-  int occupied_port() const { return occupied_port_; }
+  int occupied(VcIndex vc) const { return counters(vc).occupied; }
+  int occupied_port() const { return port().occupied; }
 
   /// minCred counters: occupancy of minimally routed packets only.
-  int occupied_min(VcIndex vc) const {
-    return occupied_min_[static_cast<std::size_t>(vc)];
-  }
-  int occupied_min_port() const { return occupied_min_port_; }
+  int occupied_min(VcIndex vc) const { return counters(vc).occupied_min; }
+  int occupied_min_port() const { return port().occupied_min; }
 
   int capacity_port() const {
-    return private_per_vc_ * num_vcs() + shared_capacity_;
+    return port().private_per_vc * num_vcs() + port().shared_capacity;
   }
 
  private:
+  /// Port-level geometry, counters and on/off state.
+  struct Port {
+    int private_per_vc = 0;
+    int shared_capacity = 0;
+    int shared_used = 0;
+    int occupied = 0;
+    int occupied_min = 0;
+    int off_threshold = 0;
+    int on_threshold = 0;
+    bool on_off = false;
+    bool off = false;
+  };
+
+  /// Per-VC counters: all occupied phits, and those of minimal packets.
+  struct VcCredits {
+    std::int32_t occupied = 0;
+    std::int32_t occupied_min = 0;
+  };
+
+  const Port& port() const { return vcs_.head(); }
+  Port& port() { return vcs_.head(); }
+  const VcCredits& counters(VcIndex vc) const {
+    return vcs_[static_cast<std::size_t>(vc)];
+  }
+
   void add(VcIndex vc, int delta, RouteKind kind) {
-    auto& occ = occupied_[static_cast<std::size_t>(vc)];
-    const int before_overflow = std::max(0, occ - private_per_vc_);
-    occ += delta;
-    occupied_port_ += delta;
-    shared_used_ += std::max(0, occ - private_per_vc_) - before_overflow;
+    Port& p = port();
+    VcCredits& c = vcs_[static_cast<std::size_t>(vc)];
+    const int before_overflow = std::max(0, c.occupied - p.private_per_vc);
+    c.occupied += delta;
+    p.occupied += delta;
+    p.shared_used += std::max(0, c.occupied - p.private_per_vc) - before_overflow;
     if (kind == RouteKind::kMinimal) {
-      occupied_min_[static_cast<std::size_t>(vc)] += delta;
-      occupied_min_port_ += delta;
+      c.occupied_min += delta;
+      p.occupied_min += delta;
     }
-    if (on_off_) update_off_bit();
+    if (p.on_off) update_off_bit();
   }
 
   void update_off_bit() {
-    const int free = capacity_port() - occupied_port_;
-    if (off_) {
-      if (free >= on_threshold_) off_ = false;
-    } else if (free < off_threshold_) {
-      off_ = true;
+    Port& p = port();
+    const int free = capacity_port() - p.occupied;
+    if (p.off) {
+      if (free >= p.on_threshold) p.off = false;
+    } else if (free < p.off_threshold) {
+      p.off = true;
     }
   }
 
-  int private_per_vc_;
-  int shared_capacity_;
-  int shared_used_ = 0;
-  int occupied_port_ = 0;
-  int occupied_min_port_ = 0;
-  bool on_off_ = false;
-  bool off_ = false;
-  int off_threshold_ = 0;
-  int on_threshold_ = 0;
-  std::vector<int> occupied_;
-  std::vector<int> occupied_min_;
+  HeadedArray<Port, VcCredits> vcs_;  // port counters + per-VC counters
 };
 
 }  // namespace flexnet

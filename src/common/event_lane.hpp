@@ -1,8 +1,10 @@
 // Flat containers of the event-driven simulation core.
 //
-// EventLane<T> is a growable power-of-two ring buffer used for every
-// time-ordered FIFO on the hot path: per-link in-flight packet and credit
-// lanes, per-VC input queues, and the router output pipelines. Events are
+// EventLane<T> is a growable power-of-two ring buffer used for the
+// time-ordered FIFOs on the hot path: per-link in-flight packet and credit
+// lanes, the router output pipelines and the node source queues (per-VC
+// input queues share one slot array per port instead; see
+// buffers/input_buffer.hpp). Events are
 // pushed with non-decreasing readiness cycles (the simulation clock is
 // monotone and each lane's latency is fixed), so a lane is drained by
 // popping from the head while due — no sorting, no per-node allocation,

@@ -1,6 +1,7 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -79,6 +80,9 @@ int Network::eject_output_index(RouterId r, int node_local,
 
 void Network::build() {
   const VcTemplate& tmpl = policy_->tmpl();
+  // Commitments store template positions in 16 bits.
+  FLEXNET_CHECK_MSG(tmpl.num_positions() <= INT16_MAX,
+                    "VC template too long for a commitment slot");
   Rng base(config_.seed);
 
   {
@@ -169,7 +173,8 @@ void Network::build() {
 
     for (int i = 0; i < ports + inj_ports; ++i) {
       const int vcs = in_[static_cast<std::size_t>(input_at(r, i))].num_vcs();
-      // The armed-slot bitmask packs one bit per VC into a word.
+      // The armed-slot bitmask packs one bit per VC into a word (and a
+      // Commitment stores its VC in 16 bits).
       FLEXNET_CHECK_MSG(vcs <= 64, "at most 64 VCs per input port");
       in_arb_.emplace_back(vcs);
       commit_index_.push_back(static_cast<int>(commits_.size()));
@@ -216,7 +221,6 @@ void Network::build() {
   // the first injection or delivery arms its slot.
   armed_.assign(static_cast<std::size_t>(total_inputs), 0);
   router_armed_.assign(static_cast<std::size_t>(num_routers), 0);
-  wait_link_.assign(commits_.size(), -1);
   link_waiters_.assign(static_cast<std::size_t>(total_links), {});
 
   // Parallel domains: contiguous ascending router ranges so the ascending-
@@ -564,8 +568,9 @@ void Network::fire_waiters(RouterId r, int li) {
   for (const std::int32_t e : waiters) {
     const int gi = e >> 6;
     const auto vc = static_cast<VcIndex>(e & 63);
-    wait_link_[static_cast<std::size_t>(
-        commit_index_[static_cast<std::size_t>(gi)] + vc)] = -1;
+    commits_[static_cast<std::size_t>(
+                 commit_index_[static_cast<std::size_t>(gi)] + vc)]
+        .wait_link = -1;
     arm_slot(r, gi, vc);
   }
   waiters.clear();
@@ -706,13 +711,12 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
 
   // Puts the slot to sleep on its committed output link: disarmed until
   // the link's next credit return or output-buffer departure fires the
-  // waiter list. wait_link_ dedupes the subscription (a safe commitment
+  // waiter list. wait_link dedupes the subscription (a safe commitment
   // always re-sleeps on the same link, so one live entry suffices; a stale
   // entry from a previous head fires a harmless idempotent re-arm).
   const auto sleep_on_link = [&](int li) {
     disarm_slot(r, gi, vc);
-    std::int32_t& wl = wait_link_[static_cast<std::size_t>(
-        commit_index_[static_cast<std::size_t>(gi)] + vc)];
+    std::int32_t& wl = commit.wait_link;
     if (wl != li) {
       link_waiters_[static_cast<std::size_t>(li)].push_back(
           (static_cast<std::int32_t>(gi) << 6) | vc);
@@ -726,7 +730,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
   // for an already-committed packet — the work pruning exists to remove.
   if (commit.pkt == head.id) {
     ++ds.re_requests;
-    if (commit.option.ejection) {
+    if (commit.ejection) {
       if (flit_ && buf.front_phits(vc) < head.size) {
         disarm_slot(r, gi, vc);  // re-armed per arriving body flit
         return false;
@@ -749,7 +753,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
       fill_request(out);
       return true;
     }
-    const int li = link_at(r, commit.option.out_port);
+    const int li = link_at(r, commit.out_port);
     const bool resource_ok =
         out_[static_cast<std::size_t>(li)].can_reserve(head.size) &&
         ledger_[static_cast<std::size_t>(li)].can_send(commit.out_vc,
@@ -757,11 +761,10 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     const bool feasible =
         resource_ok &&
         !out_matched_[static_cast<std::size_t>(
-            output_index_[static_cast<std::size_t>(r)] +
-            commit.option.out_port)];
+            output_index_[static_cast<std::size_t>(r)] + commit.out_port)];
     if (feasible) {
       fill_request(output_index_[static_cast<std::size_t>(r)] +
-                   commit.option.out_port);
+                   commit.out_port);
       return true;
     }
     if (commit.safe) {
@@ -798,11 +801,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
       const int out =
           output_index_[static_cast<std::size_t>(r)] +
           eject_output_index(r, head.dst % topo_->concentration(), head.cls);
-      commit.pkt = head.id;
-      commit.option = opt;
-      commit.out_vc = kInvalidVc;
-      commit.out_position = -1;
-      commit.safe = true;
+      commit.assign(head.id, opt, kInvalidVc, -1, /*is_safe=*/true);
       if (out_matched_[static_cast<std::size_t>(out)]) return false;
       if (!nodes_[static_cast<std::size_t>(head.dst)]->can_consume(head.cls,
                                                                    now)) {
@@ -852,11 +851,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
           rng_[static_cast<std::size_t>(r)]);
       if (sel >= 0) {
         const VcCandidate& cand = ds.cands[static_cast<std::size_t>(sel)];
-        commit.pkt = head.id;
-        commit.option = opt;
-        commit.out_vc = cand.phys;
-        commit.out_position = cand.position;
-        commit.safe = cand.safe;
+        commit.assign(head.id, opt, cand.phys, cand.position, cand.safe);
         fill_request(output_index_[static_cast<std::size_t>(r)] +
                      opt.out_port);
         if (cand.position > ds.cands.front().position)
@@ -879,11 +874,7 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     }
     if (best >= 0) {
       const VcCandidate& cand = ds.cands[static_cast<std::size_t>(best)];
-      commit.pkt = head.id;
-      commit.option = opt;
-      commit.out_vc = cand.phys;
-      commit.out_position = cand.position;
-      commit.safe = true;
+      commit.assign(head.id, opt, cand.phys, cand.position, /*is_safe=*/true);
       // Wait for the committed VC's credits. A safe commitment is
       // revalidated without RNG from here on, so when the block is on
       // downstream resources the slot can sleep on the link's wake edges;
@@ -913,12 +904,11 @@ bool Network::find_action(RouterId r, PortIndex ip, VcIndex vc, Cycle now,
     // Every option is blocked on link-edge resources (or statically
     // inadmissible — candidates depend only on the packet and option, so
     // those can never come back): sleep until a blocking link fires.
-    // With several blocked links the slot subscribes to each; wait_link_
+    // With several blocked links the slot subscribes to each; wait_link
     // can dedupe only one of them, and the resulting stale entries fire
     // harmless idempotent re-arms.
     disarm_slot(r, gi, vc);
-    std::int32_t& wl = wait_link_[static_cast<std::size_t>(
-        commit_index_[static_cast<std::size_t>(gi)] + vc)];
+    std::int32_t& wl = commit.wait_link;
     for (int i = 0; i < blocks; ++i) {
       if (wl == block_li[i]) continue;
       link_waiters_[static_cast<std::size_t>(block_li[i])].push_back(
@@ -1093,7 +1083,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
   ds.granted = true;
   ++ds.grants;
   FLEXNET_TELEM(if (telem_.enabled()) telem_.on_grant(r));
-  if (cmt.option.is_escape && pkt.valiant != kInvalidRouter &&
+  if (cmt.is_escape && pkt.valiant != kInvalidRouter &&
       !pkt.valiant_reached) {
     ++ds.escapes;
   }
@@ -1125,7 +1115,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
                          pkt.credited_kind};
     }
   }
-  if (flit_ && !cmt.option.ejection) {
+  if (flit_ && !cmt.ejection) {
     // Where the outbound stream finds this packet's TransitTail (or -1:
     // fully arrived / injected — injection buffers hold whole packets).
     const bool in_flight =
@@ -1139,7 +1129,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
         in_flight ? link_at(desc->neighbor, desc->neighbor_port) : -1;
   }
 
-  if (cmt.option.ejection) {
+  if (cmt.ejection) {
     // Node-local effects apply now (the destination node belongs to this
     // router, hence this domain); global effects — trace, metrics, reply
     // generation accounting, pool release — are staged and flushed in
@@ -1157,10 +1147,10 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
     return;
   }
 
-  pkt.route_kind = cmt.option.kind_after;
+  pkt.route_kind = cmt.kind_after;
   pkt.credited_kind = pkt.route_kind;
-  pkt.valiant = cmt.option.valiant_after;
-  pkt.valiant_reached = cmt.option.valiant_reached_after;
+  pkt.valiant = cmt.valiant_after;
+  pkt.valiant_reached = cmt.valiant_reached_after;
   pkt.vc_position = cmt.out_position;
   {
     const VcTemplate& tmpl = policy_->tmpl();
@@ -1169,7 +1159,7 @@ void Network::grant(RouterId r, const Request& req, Cycle now,
         static_cast<std::int16_t>(cmt.out_position);
   }
   ++pkt.hops;
-  const int li = link_at(r, cmt.option.out_port);
+  const int li = link_at(r, cmt.out_port);
   if (record_routes_)
     traces_[static_cast<std::size_t>(slot.ref)].push_back(
         static_cast<std::int16_t>(links_[static_cast<std::size_t>(li)].to));

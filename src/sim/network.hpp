@@ -198,13 +198,43 @@ class Network final : public CongestionOracle {
   /// then waits for its credits through switch allocation. A *safe*
   /// commitment may be waited on indefinitely; an opportunistic one is
   /// dropped and re-made the moment its credits disappear.
+  ///
+  /// Only what revalidation and grant() read is kept — the chosen option's
+  /// port and the packet state it applies, not its HopSeq trajectories,
+  /// which VC allocation alone consumes — so a slot fits half a cache line.
   struct Commitment {
     PacketId pkt = -1;  ///< head packet this commitment belongs to
-    RouteOption option;
-    VcIndex out_vc = kInvalidVc;
-    int out_position = -1;
+    RouterId valiant_after = kInvalidRouter;
+    PortIndex out_port = kInvalidPort;  ///< network port when !ejection
+    /// Link whose waiter list holds this slot (-1: none). Not part of the
+    /// commitment proper — it dedupes sleep subscriptions and outlives
+    /// re-commitment — but it lives here to share the slot's cache line.
+    std::int32_t wait_link = -1;
+    std::int16_t out_vc = kInvalidVc;
+    std::int16_t out_position = -1;
+    RouteKind kind_after = RouteKind::kMinimal;
+    bool ejection = false;
+    bool valiant_reached_after = false;
+    bool is_escape = false;
     bool safe = false;
+
+    /// Commits `pkt` to `opt` on downstream VC `vc` at template position
+    /// `position` (kInvalidVc / -1 for ejection); keeps wait_link.
+    void assign(PacketId id, const RouteOption& opt, VcIndex vc, int position,
+                bool is_safe) {
+      pkt = id;
+      valiant_after = opt.valiant_after;
+      out_port = opt.out_port;
+      out_vc = static_cast<std::int16_t>(vc);
+      out_position = static_cast<std::int16_t>(position);
+      kind_after = opt.kind_after;
+      ejection = opt.ejection;
+      valiant_reached_after = opt.valiant_reached_after;
+      is_escape = opt.is_escape;
+      safe = is_safe;
+    }
   };
+  static_assert(sizeof(Commitment) <= 32, "a commitment slot must stay compact");
 
   /// Tail of a granted packet still arriving on an inbound link (flit
   /// modes only). Body flits landing while this record is live bypass the
@@ -232,11 +262,10 @@ class Network final : public CongestionOracle {
     RouteKind kind = RouteKind::kMinimal;  ///< kind body-flit claims carry
   };
 
-  /// Stage-1 result: one input port's chosen action for this iteration.
-  /// A stage-1 proposal: just the slot and its target output lane. The
-  /// route option and VC chosen for it live in the slot's Commitment —
-  /// grant() re-fetches them, so proposals stay pointer-sized instead of
-  /// dragging two HopSeq arrays through every lane push per iteration.
+  /// A stage-1 proposal: one input port's chosen slot for this iteration
+  /// and its target output lane. The option and VC chosen for it live in
+  /// the slot's Commitment — grant() re-fetches them, so a proposal is 12
+  /// bytes and a lane push never copies commitment state.
   struct Request {
     PortIndex in_port = kInvalidPort;
     VcIndex in_vc = kInvalidVc;
@@ -316,7 +345,8 @@ class Network final : public CongestionOracle {
   //   * empty VC            -> re-armed by the next push on the slot
   //   * ejection tail short -> re-armed per arriving body flit
   //   * safe commitment blocked on downstream resources -> subscribed to
-  //     the committed link's waiter list; fired on every credit return
+  //     the committed link's waiter list (Commitment::wait_link dedupes the
+  //     subscription); fired on every credit return
   //     (CreditLedger gains space only in on_credit, which also clears the
   //     on/off stop bit) and every output-buffer departure (occupancy
   //     drops only in start_send).
@@ -490,7 +520,6 @@ class Network final : public CongestionOracle {
   // --- Pruned-arbitration state (see arm_slot/disarm_slot above).
   std::vector<std::uint64_t> armed_;        // per global input: VC bitmask
   std::vector<std::int32_t> router_armed_;  // per router: armed slot count
-  std::vector<std::int32_t> wait_link_;     // per (input, VC) commit slot
   std::vector<std::vector<std::int32_t>> link_waiters_;  // per link: (gi<<6)|vc
   std::vector<std::int32_t> input_router_;  // per global input: owning router
   // armed_inputs_[r]: input ports with any armed VC — stage 1 iterates

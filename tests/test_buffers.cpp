@@ -4,7 +4,9 @@
 // statically partitioned buffer is the shared_capacity == 0 case, a DAMQ
 // reserves private_per_vc phits per VC and shares the rest. Queues hold
 // {PacketRef, phits} slots — the tests use small integers as refs, since
-// the buffer never dereferences them.
+// the buffer never dereferences them. Each VC's header caches its head ref
+// and every VC's ring lives in one shared slot array; the layout tests pin
+// both across ring wrap, growth and the 64-VC port limit.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,6 +14,7 @@
 #include "buffers/buffer_org.hpp"
 #include "buffers/credit_ledger.hpp"
 #include "buffers/input_buffer.hpp"
+#include "common/headed_array.hpp"
 #include "common/rng.hpp"
 
 namespace flexnet {
@@ -69,6 +72,155 @@ TEST(StaticInputBuffer, LongFifoSurvivesRingGrowth) {
   for (int i = 250; i < 900; ++i) ASSERT_EQ(buf.pop(0).ref, i);
   EXPECT_TRUE(buf.empty(0));
   EXPECT_EQ(buf.occupancy(), 0);
+}
+
+// --- HeadedArray: the single block behind InputBuffer and CreditLedger.
+
+TEST(HeadedArray, HeadAndElementsShareOneBlockIndependently) {
+  struct Head {
+    int a = 0;
+    std::vector<int> owned;  // a non-trivial head is destroyed with the block
+  };
+  HeadedArray<Head, std::int64_t> arr(Head{5, {1, 2, 3}}, 64);
+  EXPECT_EQ(arr.size(), 64u);
+  EXPECT_EQ(arr.head().a, 5);
+  for (std::size_t i = 0; i < arr.size(); ++i) EXPECT_EQ(arr[i], 0);
+  for (std::size_t i = 0; i < arr.size(); ++i)
+    arr[i] = static_cast<std::int64_t>(i) * 3;
+  arr.head().a = 9;
+  arr.head().owned.push_back(4);
+  HeadedArray<Head, std::int64_t> moved = std::move(arr);
+  EXPECT_EQ(moved.head().a, 9);
+  EXPECT_EQ(moved.head().owned.size(), 4u);
+  for (std::size_t i = 0; i < moved.size(); ++i)
+    EXPECT_EQ(moved[i], static_cast<std::int64_t>(i) * 3);
+}
+
+// --- Queue headers: the cached front ref and the shared ring storage.
+
+// Checks one VC against a reference model (the slots it should hold, head
+// first): front(), front_phits(), packets(), empty() and occupancy().
+void expect_vc_state(const InputBuffer& buf, VcIndex vc,
+                     const std::vector<BufferSlot>& model) {
+  ASSERT_EQ(buf.packets(vc), static_cast<int>(model.size()));
+  ASSERT_EQ(buf.empty(vc), model.empty());
+  ASSERT_EQ(buf.front(vc), model.empty() ? kInvalidPacketRef : model[0].ref);
+  ASSERT_EQ(buf.front_phits(vc), model.empty() ? 0 : model[0].phits);
+  int occ = 0;
+  for (const BufferSlot& s : model) occ += s.phits;
+  ASSERT_EQ(buf.occupancy(vc), occ);
+}
+
+TEST(InputBufferLayout, CachedFrontTracksPushToEmptyAndPopToEmpty) {
+  InputBuffer buf(2, 64);
+  std::vector<BufferSlot> m0;
+  expect_vc_state(buf, 0, m0);
+  buf.push(0, 7, 8);  // push to empty sets the front
+  m0.push_back({7, 8});
+  expect_vc_state(buf, 0, m0);
+  buf.push(0, 9, 4);  // push behind a head leaves it
+  m0.push_back({9, 4});
+  expect_vc_state(buf, 0, m0);
+  EXPECT_EQ(buf.front(1), kInvalidPacketRef);  // other VC untouched
+  EXPECT_EQ(buf.pop(0).ref, 7);  // pop advances the front
+  m0.erase(m0.begin());
+  expect_vc_state(buf, 0, m0);
+  EXPECT_EQ(buf.pop(0).ref, 9);  // pop to empty clears it
+  m0.clear();
+  expect_vc_state(buf, 0, m0);
+  buf.push(0, 11, 8);  // and the next push to empty sets it again
+  m0.push_back({11, 8});
+  expect_vc_state(buf, 0, m0);
+}
+
+TEST(InputBufferLayout, CachedFrontSurvivesRingWrapAndGrowth) {
+  // Three VCs share one slot array. VC 1 wraps its ring many times at a
+  // depth that never grows it, then deepens past several doublings while
+  // its neighbours hold packets — every re-lay must keep all three queues
+  // and their cached fronts intact.
+  InputBuffer buf(3, 1 << 16);
+  std::vector<std::vector<BufferSlot>> model(3);
+  int next = 0;
+  const auto push = [&](VcIndex vc, int phits) {
+    buf.push(vc, next, phits);
+    model[static_cast<std::size_t>(vc)].push_back({next, phits});
+    ++next;
+  };
+  const auto pop = [&](VcIndex vc) {
+    auto& m = model[static_cast<std::size_t>(vc)];
+    const BufferSlot got = buf.pop(vc);
+    ASSERT_EQ(got.ref, m.front().ref);
+    ASSERT_EQ(got.phits, m.front().phits);
+    m.erase(m.begin());
+  };
+  const auto check_all = [&] {
+    for (VcIndex v = 0; v < 3; ++v)
+      expect_vc_state(buf, v, model[static_cast<std::size_t>(v)]);
+  };
+  push(0, 8);
+  push(2, 8);
+  push(2, 4);
+  for (int i = 0; i < 40; ++i) {  // wrap: depth oscillates 2..3
+    push(1, 1 + i % 5);
+    if (i >= 2) pop(1);
+    check_all();
+  }
+  for (int i = 0; i < 300; ++i) {  // grow: depth climbs to ~150
+    push(1, 2);
+    if (i % 2 == 0) pop(1);
+    if (i % 50 == 0) push(0, 3);
+    check_all();
+  }
+  while (!model[1].empty()) {
+    pop(1);
+    check_all();
+  }
+  EXPECT_EQ(buf.front(0), 0);
+  EXPECT_EQ(buf.front(2), 1);
+}
+
+TEST(InputBufferLayout, AddPhitGrowsTheFrontWhenItIsTheTail) {
+  // Wormhole: a head flit is queued alone and routed while its body flits
+  // keep arriving — each add_phit lands on a tail that is also the front.
+  InputBuffer buf(2, 32);
+  buf.push(1, 5, 1);
+  for (int i = 2; i <= 8; ++i) {
+    buf.add_phit(1, 5);
+    EXPECT_EQ(buf.front(1), 5);
+    EXPECT_EQ(buf.front_phits(1), i);
+    EXPECT_EQ(buf.occupancy(1), i);
+  }
+  // A second packet behind it takes the tail; the front keeps its phits.
+  buf.push(1, 6, 1);
+  buf.add_phit(1, 6);
+  EXPECT_EQ(buf.front(1), 5);
+  EXPECT_EQ(buf.front_phits(1), 8);
+  EXPECT_EQ(buf.occupancy(1), 10);
+  EXPECT_EQ(buf.pop(1).phits, 8);
+  EXPECT_EQ(buf.front(1), 6);
+  EXPECT_EQ(buf.front_phits(1), 2);
+}
+
+TEST(InputBufferLayout, SixtyFourVcsWork) {
+  // 64 VCs is the per-port limit Network::build enforces; no fixed inline
+  // VC cap may be smaller.
+  constexpr int kVcs = 64;
+  InputBuffer buf(kVcs, 16, 64);
+  EXPECT_EQ(buf.num_vcs(), kVcs);
+  EXPECT_EQ(buf.total_capacity(), kVcs * 16 + 64);
+  for (int round = 0; round < 6; ++round)  // depth 6 grows every ring
+    for (VcIndex v = 0; v < kVcs; ++v) buf.push(v, v * 100 + round, 2);
+  EXPECT_EQ(buf.occupancy(), kVcs * 12);
+  for (VcIndex v = 0; v < kVcs; ++v) {
+    EXPECT_EQ(buf.packets(v), 6);
+    EXPECT_EQ(buf.front(v), v * 100);
+    EXPECT_EQ(buf.free_for(v), 16 - 12 + 64);
+  }
+  for (VcIndex v = kVcs - 1; v >= 0; --v)
+    for (int round = 0; round < 6; ++round)
+      ASSERT_EQ(buf.pop(v).ref, v * 100 + round);
+  EXPECT_EQ(buf.occupancy(), 0);
+  EXPECT_EQ(buf.shared_used(), 0);
 }
 
 // --- DAMQ (shared > 0).
@@ -261,6 +413,32 @@ TEST(CreditLedger, MirrorsDamqBufferExactly) {
     }
     ASSERT_EQ(ledger.occupied_port(), buf.occupancy());
   }
+}
+
+TEST(CreditLedger, SixtyFourVcsKeepIndependentCounters) {
+  // 64 VCs is the per-port limit Network::build enforces; every VC's pair
+  // of counters must be its own.
+  constexpr int kVcs = 64;
+  CreditLedger ledger(kVcs, 8, 32);
+  EXPECT_EQ(ledger.num_vcs(), kVcs);
+  EXPECT_EQ(ledger.capacity_port(), kVcs * 8 + 32);
+  for (VcIndex v = 0; v < kVcs; ++v)
+    ledger.on_send(v, 1 + v % 4,
+                   v % 2 == 0 ? RouteKind::kMinimal : RouteKind::kNonminimal);
+  int total = 0;
+  int total_min = 0;
+  for (VcIndex v = 0; v < kVcs; ++v) {
+    EXPECT_EQ(ledger.occupied(v), 1 + v % 4);
+    EXPECT_EQ(ledger.occupied_min(v), v % 2 == 0 ? 1 + v % 4 : 0);
+    EXPECT_EQ(ledger.free_for(v), 8 - (1 + v % 4) + 32);
+    total += 1 + v % 4;
+    if (v % 2 == 0) total_min += 1 + v % 4;
+  }
+  EXPECT_EQ(ledger.occupied_port(), total);
+  EXPECT_EQ(ledger.occupied_min_port(), total_min);
+  ledger.on_credit(kVcs - 1, 1 + (kVcs - 1) % 4, RouteKind::kNonminimal);
+  EXPECT_EQ(ledger.occupied(kVcs - 1), 0);
+  EXPECT_EQ(ledger.occupied(kVcs - 2), 1 + (kVcs - 2) % 4);
 }
 
 TEST(CreditLedger, ConservationInvariant) {
