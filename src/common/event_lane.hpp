@@ -48,19 +48,6 @@ class EventLane {
     return buf_[head_];
   }
 
-  /// Newest element (mutable: flit-level input queues grow the tail
-  /// packet's phit count in place as its body flits arrive).
-  T& back() {
-    FLEXNET_DCHECK(size_ > 0);
-    return buf_[(head_ + size_ - 1) & mask_];
-  }
-
-  /// i-th element from the head (diagnostics / tests only).
-  const T& at(std::size_t i) const {
-    FLEXNET_DCHECK(i < size_);
-    return buf_[(head_ + i) & mask_];
-  }
-
   void push_back(const T& v) {
     if (size_ == buf_.size()) grow();
     buf_[(head_ + size_) & mask_] = v;
