@@ -11,6 +11,12 @@
 //     commitments, output units, and credit ledgers live in flat vectors
 //     indexed by global (router, port) slots via per-router offset tables
 //     (`in_index_` / `link_index_` / `output_index_`, each with a sentinel).
+//   * Per-VC hot state is one dependent load past those indices: an input
+//     buffer (`in_[input_at]`) or credit ledger (`ledger_[link_at]`) is one
+//     pointer to a block holding the port record followed by its per-VC
+//     records (queue header with a cached head ref; counter pair), sized
+//     to the port's VC count; commitments are 32-byte slots at
+//     `commits_[commit_index_[gi] + vc]`.
 //   * Packets live in a PacketPool slab from injection to consumption;
 //     queues and link lanes move 4-byte PacketRefs, never whole packets.
 //   * In-flight traffic sits in per-link ring-buffer event lanes
